@@ -96,8 +96,7 @@ def run_cache_benchmark(scale_name: str, seed: int = 7) -> dict:
             capacity_bytes = fleet.vds[vd_id].capacity_bytes
             blocks = {
                 block_bytes: hottest_block(
-                    result.traces, vd_id, block_bytes, capacity_bytes,
-                    vd_traces=vd_traces,
+                    result.traces, vd_id, block_bytes, capacity_bytes
                 )
                 for block_bytes in block_sizes
             }

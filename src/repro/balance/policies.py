@@ -3,9 +3,12 @@
 These are the two decisions the paper's production balancers make, pulled
 out of :mod:`repro.balancer.wt` and :mod:`repro.balancer.interbs` so the
 period-replay balancers and the snapshot planner in
-:mod:`repro.balance.trigger` provably apply the *same* rules.  Both are
-bit-for-bit extractions: identical numpy ops in identical order, so the
-refactored callers reproduce their historical outputs exactly.
+:mod:`repro.balance.trigger` provably apply the *same* rules; the live
+policy engine (:mod:`repro.live.policy`) applies the WT rule to per-node
+loads through the same function.  Both reproduce their callers'
+historical outputs exactly: the shed selection runs the original numpy
+ops in the original order, and the swap rule picks the indices
+``np.argmax``/``np.argmin`` pick.
 """
 
 from __future__ import annotations
@@ -16,7 +19,7 @@ import numpy as np
 
 
 def wt_swap_decision(
-    loads: np.ndarray, trigger_ratio: float
+    loads: "Sequence[float] | np.ndarray", trigger_ratio: float
 ) -> "Optional[Tuple[int, int]]":
     """The §4.3 trigger: ``(hot, cold)`` WT indices to swap, or None.
 
@@ -25,14 +28,24 @@ def wt_swap_decision(
     traffic exceed the trigger (hottest > ratio x 0), matching the
     production condition; an all-idle or perfectly even load vector
     never fires.
+
+    ``loads`` must be non-negative.  Hot and cold are the first indices
+    of the maximum and minimum, as ``np.argmax``/``np.argmin`` pick them.
+    The vectors are a handful of WTs or nodes long and the rebinding
+    replay calls this once per active period, so it works on Python
+    floats rather than through three numpy reductions.
     """
-    loads = np.asarray(loads, dtype=float)
-    if loads.size == 0 or loads.sum() == 0:
+    if isinstance(loads, np.ndarray):
+        loads = loads.tolist()
+    if not len(loads):
         return None
-    hot = int(np.argmax(loads))
-    cold = int(np.argmin(loads))
-    if loads[hot] > trigger_ratio * loads[cold]:
-        return hot, cold
+    hot_load = max(loads)
+    # With non-negative loads the maximum is zero only when all are.
+    if hot_load == 0:
+        return None
+    cold_load = min(loads)
+    if hot_load > trigger_ratio * cold_load:
+        return loads.index(hot_load), loads.index(cold_load)
     return None
 
 

@@ -31,6 +31,7 @@ from typing import Dict, List, Optional
 
 import numpy as np
 
+from repro.balancer.wt import _home_wts
 from repro.cluster.hypervisor import Hypervisor
 from repro.stats.skewness import normalized_cov
 from repro.trace.dataset import TraceDataset
@@ -92,22 +93,15 @@ def simulate_dispatch(
     the node's mean throughput per WT (a fluid approximation — adequate
     because we only need the *assignment*, not precise latencies).
     """
-    node_traces = traces.where(traces.compute_node_id == hypervisor.node_id)
+    node_traces = traces.for_node(hypervisor.node_id)
     n = len(node_traces)
     if n == 0:
         return None
     order = np.argsort(node_traces.timestamp, kind="stable")
     timestamps = node_traces.timestamp[order]
     sizes = node_traces.size_bytes[order].astype(float)
-    qp_ids = node_traces.qp_id[order]
-
-    workers = hypervisor.worker_ids
-    num_wts = len(workers)
-    wt_index = {wt: i for i, wt in enumerate(workers)}
-    home = np.array(
-        [wt_index[hypervisor.wt_of(int(qp))] for qp in qp_ids],
-        dtype=np.int64,
-    )
+    home = _home_wts(node_traces.qp_id[order], hypervisor)
+    num_wts = len(hypervisor.worker_ids)
 
     if policy is DispatchPolicy.HASH_QP:
         assigned = home
@@ -143,21 +137,34 @@ def _join_shortest_queue(
     """Assign each IO to the WT with the least outstanding bytes.
 
     Queues drain at the node's average byte rate divided evenly across
-    WTs; the fluid model keeps the replay O(n * num_wts).
+    WTs; the fluid model keeps the replay O(n * num_wts).  The backlog
+    vector is a few WTs long, so the replay is a scalar loop over Python
+    floats: per IO, each backlog drains by the same product and clamps at
+    zero, the first least-loaded WT (lowest index on ties) takes the IO.
+    These are the IEEE operations, in the same order, of the vectorised
+    ``np.maximum(backlog - drain, 0.0)`` / ``np.argmin`` formulation.
     """
     duration = max(float(timestamps[-1] - timestamps[0]), 1e-9)
-    drain_rate = sizes.sum() / duration / num_wts  # bytes/s per WT
-    backlog = np.zeros(num_wts)
+    drain_rate = float(sizes.sum() / duration / num_wts)  # bytes/s per WT
+    backlog = [0.0] * num_wts
+    wts = range(num_wts)
     last_time = float(timestamps[0])
-    assigned = np.empty(timestamps.size, dtype=np.int64)
-    for index in range(timestamps.size):
-        now = float(timestamps[index])
-        backlog = np.maximum(backlog - drain_rate * (now - last_time), 0.0)
+    assigned = []
+    for now, size in zip(timestamps.tolist(), sizes.tolist()):
+        drained = drain_rate * (now - last_time)
         last_time = now
-        target = int(np.argmin(backlog))
-        assigned[index] = target
-        backlog[target] += sizes[index]
-    return assigned
+        target = 0
+        least = None
+        for wt in wts:
+            left = backlog[wt] - drained
+            if left < 0.0:
+                left = 0.0
+            backlog[wt] = left
+            if least is None or left < least:
+                target, least = wt, left
+        assigned.append(target)
+        backlog[target] = least + size
+    return np.array(assigned, dtype=np.int64)
 
 
 def compare_policies(

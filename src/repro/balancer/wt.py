@@ -38,6 +38,19 @@ def _direction_column(table: ComputeMetricTable, direction: str) -> np.ndarray:
     )
 
 
+def _totals_by_key(keys: np.ndarray, values: np.ndarray) -> Dict[int, float]:
+    """Per-key sums of ``values``, keys in first-appearance order.
+
+    Each sum adds its rows left to right, so the floats (and any later
+    reduction over the dict's values, which depends on key order) are
+    reproducible exactly.
+    """
+    totals: Dict[int, float] = {}
+    for key, value in zip(keys.tolist(), values.tolist()):
+        totals[key] = totals.get(key, 0.0) + value
+    return totals
+
+
 # ---------------------------------------------------------------------------
 # Fig 2(a): WT-CoV at multiple time scales
 # ---------------------------------------------------------------------------
@@ -109,18 +122,12 @@ def vm_vd_qp_covs(
         node_mask = table.compute_node_id == node_id
         if not values[node_mask].sum() > 0:
             continue
-        vm_totals: Dict[int, float] = {}
-        vm_ids = table.vm_id[node_mask]
-        vals = values[node_mask]
-        for vm, v in zip(vm_ids, vals):
-            vm_totals[int(vm)] = vm_totals.get(int(vm), 0.0) + float(v)
+        vm_totals = _totals_by_key(table.vm_id[node_mask], values[node_mask])
         hottest_vm = max(vm_totals, key=vm_totals.get)
 
         vm_mask = node_mask & (table.vm_id == hottest_vm)
         # vm2qp: traffic split over all QPs of the hottest VM.
-        qp_totals: Dict[int, float] = {}
-        for qp, v in zip(table.qp_id[vm_mask], values[vm_mask]):
-            qp_totals[int(qp)] = qp_totals.get(int(qp), 0.0) + float(v)
+        qp_totals = _totals_by_key(table.qp_id[vm_mask], values[vm_mask])
         vm_vds = fleet.vds_of_vm(hottest_vm)
         all_qps = [qp_id for vd in vm_vds for qp_id in vd.qp_ids]
         qp_vector = [qp_totals.get(qp, 0.0) for qp in all_qps]
@@ -128,9 +135,7 @@ def vm_vd_qp_covs(
             out["vm2qp"].append(normalized_cov(qp_vector))
 
         # vm2vd: split over all VDs of the hottest VM (idle VDs count).
-        vd_totals: Dict[int, float] = {}
-        for vd, v in zip(table.vd_id[vm_mask], values[vm_mask]):
-            vd_totals[int(vd)] = vd_totals.get(int(vd), 0.0) + float(v)
+        vd_totals = _totals_by_key(table.vd_id[vm_mask], values[vm_mask])
         vd_vector = [vd_totals.get(vd.vd_id, 0.0) for vd in vm_vds]
         if len(vd_vector) > 1:
             out["vm2vd"].append(normalized_cov(vd_vector))
@@ -161,9 +166,7 @@ def hottest_qp_shares(
         node_mask = table.compute_node_id == node_id
         if not values[node_mask].sum() > 0:
             continue
-        qp_totals: Dict[int, float] = {}
-        for qp, v in zip(table.qp_id[node_mask], values[node_mask]):
-            qp_totals[int(qp)] = qp_totals.get(int(qp), 0.0) + float(v)
+        qp_totals = _totals_by_key(table.qp_id[node_mask], values[node_mask])
         shares.append(top_share(list(qp_totals.values())))
     return shares
 
@@ -194,9 +197,7 @@ def classify_node(
     totals = table.read_bytes[node_mask] + table.write_bytes[node_mask]
     if not totals.sum() > 0:
         return None
-    vm_totals: Dict[int, float] = {}
-    for vm, v in zip(table.vm_id[node_mask], totals):
-        vm_totals[int(vm)] = vm_totals.get(int(vm), 0.0) + float(v)
+    vm_totals = _totals_by_key(table.vm_id[node_mask], totals)
     hottest_vm = max(vm_totals, key=vm_totals.get)
     hottest_vm_qps = sum(
         vd.num_queue_pairs for vd in fleet.vds_of_vm(hottest_vm)
@@ -256,21 +257,36 @@ class RebindingOutcome:
         return self.rebinding_gain < 1.0
 
 
-def _qp_period_matrix(
-    traces: TraceDataset, qp_ids: List[int], period_seconds: float
-) -> "tuple[np.ndarray, np.ndarray]":
-    """(QP x period traffic matrix, qp index array) for one node's traces."""
-    qp_index = {qp: i for i, qp in enumerate(qp_ids)}
-    num_periods = (
-        int(np.floor(traces.timestamp.max() / period_seconds)) + 1
-        if len(traces)
-        else 1
+def _home_wts(qp_ids: np.ndarray, hypervisor: Hypervisor) -> np.ndarray:
+    """Per IO, the index in ``worker_ids`` of the WT hosting its QP."""
+    qps, rows = np.unique(qp_ids, return_inverse=True)
+    wt_index = {wt: i for i, wt in enumerate(hypervisor.worker_ids)}
+    return np.array(
+        [wt_index[hypervisor.wt_of(int(qp))] for qp in qps], dtype=np.int64
+    )[rows]
+
+
+def _active_period_loads(
+    node_traces: TraceDataset, hypervisor: Hypervisor, period_seconds: float
+) -> "tuple[np.ndarray, np.ndarray, int]":
+    """(active periods, active period x WT loads, period count).
+
+    Each IO is binned by its period and by the WT statically hosting its
+    QP; only periods that carry IOs get a row, in ascending order.  Sizes
+    are integers, so every bin (and any later sum of bins) is exact
+    regardless of summation order.
+    """
+    timestamps = node_traces.timestamp
+    num_periods = int(np.floor(timestamps.max() / period_seconds)) + 1
+    periods = np.floor(timestamps / period_seconds).astype(np.int64)
+    active, rows = np.unique(periods, return_inverse=True)
+    loads = np.zeros((active.size, len(hypervisor.worker_ids)))
+    np.add.at(
+        loads,
+        (rows, _home_wts(node_traces.qp_id, hypervisor)),
+        node_traces.size_bytes.astype(float),
     )
-    matrix = np.zeros((len(qp_ids), num_periods))
-    periods = np.floor(traces.timestamp / period_seconds).astype(np.int64)
-    rows = np.array([qp_index[int(qp)] for qp in traces.qp_id])
-    np.add.at(matrix, (rows, periods), traces.size_bytes.astype(float))
-    return matrix, periods
+    return active, loads, num_periods
 
 
 def simulate_rebinding(
@@ -284,48 +300,41 @@ def simulate_rebinding(
     ``trigger_ratio`` times the coldest WT's traffic, the two WTs swap
     their QP sets (the FinNVMe/LPNS-style rebinding the paper evaluates).
 
+    A swap exchanges whole QP sets, so the dynamic binding is always a
+    permutation of the static per-WT groups: ``group_of[wt]`` names the
+    static group WT ``wt`` hosts now, and a swap exchanges two entries.
+    The replay bins the IOs once into (active period x static group)
+    loads and visits only periods that carry IOs.  An idle period adds
+    nothing and its all-zero load vector never fires, so skipping it is
+    exact; the rebinding ratio still divides by every period.
+
     Returns None when the node has no traced IOs.  Note the paper's prose
     defines gain as before/after but reads "gain of 1%" as a large
     improvement; we use after/before so that < 1 consistently means the
     rebinding helped (the figure's semantics).
     """
-    node_traces = traces.where(
-        traces.compute_node_id == hypervisor.node_id
-    )
+    node_traces = traces.for_node(hypervisor.node_id)
     if len(node_traces) == 0:
         return None
-    qp_ids = hypervisor.qp_ids
-    matrix, __ = _qp_period_matrix(node_traces, qp_ids, config.period_seconds)
-    num_periods = matrix.shape[1]
-    workers = hypervisor.worker_ids
-    wt_index = {wt: i for i, wt in enumerate(workers)}
-
-    # binding[q] = worker index currently hosting QP q.
-    binding = np.array(
-        [wt_index[hypervisor.wt_of(qp)] for qp in qp_ids], dtype=np.int64
+    __, group_loads, num_periods = _active_period_loads(
+        node_traces, hypervisor, config.period_seconds
     )
-    static_binding = binding.copy()
-    num_wts = len(workers)
-
-    static_totals = np.zeros(num_wts)
-    dynamic_totals = np.zeros(num_wts)
+    num_wts = group_loads.shape[1]
+    group_of = list(range(num_wts))
+    dynamic = [0.0] * num_wts
     swaps = 0
-    for period in range(num_periods):
-        loads = np.zeros(num_wts)
-        np.add.at(loads, binding, matrix[:, period])
-        dynamic_totals += loads
-        static_loads = np.zeros(num_wts)
-        np.add.at(static_loads, static_binding, matrix[:, period])
-        static_totals += static_loads
+    for row in group_loads.tolist():
+        loads = [row[group] for group in group_of]
+        for wt, load in enumerate(loads):
+            dynamic[wt] += load
         decision = wt_swap_decision(loads, config.trigger_ratio)
         if decision is not None:
             hot, cold = decision
             swaps += 1
-            hot_qps = binding == hot
-            cold_qps = binding == cold
-            binding[hot_qps] = cold
-            binding[cold_qps] = hot
+            group_of[hot], group_of[cold] = group_of[cold], group_of[hot]
 
+    static_totals = group_loads.sum(axis=0)
+    dynamic_totals = np.array(dynamic)
     cov_before = normalized_cov(static_totals) if static_totals.sum() else 0.0
     cov_after = normalized_cov(dynamic_totals) if dynamic_totals.sum() else 0.0
     if cov_before == 0.0:
@@ -334,7 +343,7 @@ def simulate_rebinding(
         gain = cov_after / cov_before
     return RebindingOutcome(
         node_id=hypervisor.node_id,
-        rebinding_ratio=swaps / num_periods if num_periods else 0.0,
+        rebinding_ratio=swaps / num_periods,
         rebinding_gain=gain,
         cov_before=cov_before,
         cov_after=cov_after,
@@ -353,18 +362,13 @@ def hottest_wt_series(
     """
     if period_seconds <= 0:
         raise ConfigError("period_seconds must be positive")
-    node_traces = traces.where(
-        traces.compute_node_id == hypervisor.node_id
-    )
+    node_traces = traces.for_node(hypervisor.node_id)
     if len(node_traces) == 0:
         return np.zeros(1), 0.0
-    qp_ids = hypervisor.qp_ids
-    matrix, __ = _qp_period_matrix(node_traces, qp_ids, period_seconds)
-    workers = hypervisor.worker_ids
-    wt_index = {wt: i for i, wt in enumerate(workers)}
-    wt_series = np.zeros((len(workers), matrix.shape[1]))
-    for row, qp in enumerate(qp_ids):
-        wt_series[wt_index[hypervisor.wt_of(qp)]] += matrix[row]
-    hottest = int(np.argmax(wt_series.sum(axis=1)))
-    series = wt_series[hottest]
+    active, loads, num_periods = _active_period_loads(
+        node_traces, hypervisor, period_seconds
+    )
+    hottest = int(np.argmax(loads.sum(axis=0)))
+    series = np.zeros(num_periods)
+    series[active] = loads[:, hottest]
     return series, p2a(series) if series.sum() else 0.0

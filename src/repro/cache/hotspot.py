@@ -51,18 +51,11 @@ def hottest_block(
     vd_id: int,
     block_bytes: int,
     capacity_bytes: int,
-    vd_traces: Optional[TraceDataset] = None,
 ) -> Optional[HottestBlock]:
-    """Locate a VD's hottest block; None if the VD has no traced IOs.
-
-    ``vd_traces`` may carry the pre-sliced ``traces.for_vd(vd_id)`` when
-    the caller already has it (slicing a fleet-sized dataset per VD per
-    block size dominates otherwise); it must match ``vd_id``.
-    """
+    """Locate a VD's hottest block; None if the VD has no traced IOs."""
     if capacity_bytes <= 0:
         raise ConfigError("capacity_bytes must be positive")
-    if vd_traces is None:
-        vd_traces = traces.for_vd(vd_id)
+    vd_traces = traces.for_vd(vd_id)
     if len(vd_traces) == 0:
         return None
     blocks = _block_ids(vd_traces.offset_bytes, block_bytes)

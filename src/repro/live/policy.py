@@ -13,7 +13,9 @@ loads, and the engine emits explicit, bounded-latency decisions —
   reduced by ``p`` x their individual headroom (mass-conserving, same
   formulas as the batch simulation; caps re-init every window, the
   period reset of Algorithm 2);
-- **rebind** — the Fig 2(d) trigger on per-node loads: when the hottest
+- **rebind** — the Fig 2(d) trigger
+  (:func:`repro.balance.policies.wt_swap_decision`, the rule the batch
+  replay applies per period) on per-node loads: when the hottest
   node carries more than ``trigger_ratio`` x the coldest node's bytes,
   the hottest VD of the hottest node re-homes to the coldest node, and
   the binding carries forward to later windows.
@@ -26,6 +28,7 @@ from typing import Any, Dict, List
 
 import numpy as np
 
+from repro.balance.policies import wt_swap_decision
 from repro.live.windowing import ClosedWindow
 from repro.util.errors import ConfigError
 
@@ -136,12 +139,10 @@ class OnlinePolicyEngine:
         loads = np.bincount(
             self._binding, weights=per_vd, minlength=self.num_nodes
         )
-        if loads.sum() <= 0:
+        decision = wt_swap_decision(loads, self.trigger_ratio)
+        if decision is None:
             return None
-        hot = int(np.argmax(loads))
-        cold = int(np.argmin(loads))
-        if not loads[hot] > self.trigger_ratio * loads[cold]:
-            return None
+        hot, cold = decision
         on_hot = np.nonzero(self._binding == hot)[0]
         if on_hot.size <= 1:
             # A single-VD node cannot shed load by re-homing its only VD

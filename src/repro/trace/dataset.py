@@ -327,7 +327,48 @@ class TraceDataset(_ColumnarTable):
         return self.where(self.op == int(OpKind.WRITE))
 
     def for_vd(self, vd_id: int) -> "TraceDataset":
-        return self.where(self.vd_id == vd_id)
+        """The rows of one VD, as ``where(vd_id == vd_id)`` returns them."""
+        return self._rows_with("vd_id", vd_id)
+
+    def for_node(self, node_id: int) -> "TraceDataset":
+        """The rows of one compute node, as ``where`` would return them."""
+        return self._rows_with("compute_node_id", node_id)
+
+    def _rows_with(self, column: str, key: int) -> "TraceDataset":
+        """Rows whose ``column`` equals ``key``, in dataset order.
+
+        The first lookup on a column builds a stable ``argsort`` of it,
+        so each later slice is a binary search plus a gather of the
+        group's rows instead of a full-table mask.  Stability keeps every
+        group in ascending row order, exactly the rows and order of
+        ``where(column == key)``.  Nothing rewrites a key column in
+        place, so the index stays valid for the dataset's lifetime; the
+        gather reads every other column afresh.
+        """
+        groups = self.__dict__.setdefault("_row_groups", {})
+        if column not in groups:
+            order = np.argsort(getattr(self, column), kind="stable")
+            keys, starts = np.unique(
+                getattr(self, column)[order], return_index=True
+            )
+            groups[column] = (order, keys, np.append(starts, order.size))
+        order, keys, starts = groups[column]
+        group = int(np.searchsorted(keys, key))
+        if group < keys.size and keys[group] == key:
+            rows = order[starts[group]:starts[group + 1]]
+        else:
+            rows = order[:0]
+        return TraceDataset(
+            sampling_rate=self.sampling_rate,
+            **{name: arr[rows] for name, arr in self.columns().items()},
+        )
+
+    def __getstate__(self) -> dict:
+        # The row-group indexes are derived state; pickles (worker
+        # payloads, the artefact cache) carry only the columns.
+        state = dict(self.__dict__)
+        state.pop("_row_groups", None)
+        return state
 
     def estimated_total_ios(self) -> float:
         """Estimated unsampled IO count (sampled count / sampling rate)."""

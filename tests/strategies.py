@@ -195,3 +195,134 @@ def cut_points(rng: np.random.Generator, length: int) -> "List[int]":
         return []
     cuts = rng.choice(np.arange(1, length), size=count, replace=False)
     return sorted(int(c) for c in cuts)
+
+
+# -- balancer replay strategies ----------------------------------------------
+
+
+class NodeBinding:
+    """A hypervisor stand-in: one node's WTs and a fixed QP -> WT binding.
+
+    It offers what the §4 replays read from a
+    :class:`~repro.cluster.hypervisor.Hypervisor` (``node_id``,
+    ``worker_ids``, ``qp_ids``, ``wt_of``) without needing a fleet, so
+    a strategy can pick shapes no fleet builder produces: one QP, fewer
+    QPs than WTs, WTs left idle by an uneven binding.
+    """
+
+    def __init__(self, node_id: int, worker_ids, binding) -> None:
+        self.node_id = node_id
+        self.worker_ids = list(worker_ids)
+        self._binding = dict(binding)
+
+    @property
+    def qp_ids(self) -> "List[int]":
+        return sorted(self._binding)
+
+    def wt_of(self, qp_id: int) -> int:
+        return self._binding[qp_id]
+
+
+#: Period lengths (s) and trigger ratios the replay cases draw from.
+REPLAY_PERIODS = (0.001, 0.01, 0.05, 0.25)
+REPLAY_TRIGGERS = (1.01, 1.2, 2.0, 1e12)
+
+
+def node_replays(
+    rng: np.random.Generator,
+    num_wts: "int | None" = None,
+    num_qps: "int | None" = None,
+    span_periods: "float | None" = None,
+    sizes: "str | None" = None,
+):
+    """``(traces, node, RebindingConfig)`` for one node's replay.
+
+    Every shape argument left as None is drawn.  ``span_periods`` is the
+    trace length in periods (below 1 puts every IO in one period; large
+    spans over few IOs leave most periods empty).  ``sizes`` is
+    ``"ties"`` (sizes from {0, 1, 2, 4}, so per-period loads tie and
+    often sum to zero), ``"blocks"`` (4 KiB multiples, some zero) or
+    ``"zero"`` (every IO zero-sized).  The traces also carry IOs of a
+    second node, on QPs this node does not host, which the replays must
+    ignore.
+    """
+    from repro.balancer.wt import RebindingConfig
+    from repro.trace.dataset import TraceDataset
+
+    node_id = int(rng.integers(0, 4))
+    if num_wts is None:
+        num_wts = int(rng.integers(1, 6))
+    if num_qps is None:
+        num_qps = int(rng.integers(1, 3 * num_wts + 2))
+    period = float(rng.choice(REPLAY_PERIODS))
+    trigger = float(rng.choice(REPLAY_TRIGGERS))
+    if span_periods is None:
+        span_periods = float(rng.choice([0.9, 4.0, 40.0, 400.0]))
+    if sizes is None:
+        sizes = str(rng.choice(["ties", "blocks"]))
+
+    worker_ids = [10 * node_id + 100 + index for index in range(num_wts)]
+    qp_ids = sorted(
+        int(qp) for qp in rng.choice(500, size=num_qps, replace=False)
+    )
+    if rng.random() < 0.5:
+        hosts = [index % num_wts for index in range(num_qps)]
+    else:
+        hosts = rng.integers(0, num_wts, size=num_qps).tolist()
+    node = NodeBinding(
+        node_id,
+        worker_ids,
+        {qp: worker_ids[host] for qp, host in zip(qp_ids, hosts)},
+    )
+
+    count = int(rng.integers(1, 300))
+    span = span_periods * period
+    if rng.random() < 0.5:
+        timestamps = rng.uniform(0.0, span, size=count)
+    else:
+        # Bursts: IOs cluster around a few instants, periods between
+        # them stay empty.
+        centres = rng.uniform(0.0, span, size=int(rng.integers(1, 6)))
+        jitter = rng.uniform(0.0, 0.5 * period, size=count)
+        timestamps = np.minimum(
+            centres[rng.integers(0, centres.size, size=count)] + jitter,
+            span,
+        )
+    if sizes == "ties":
+        size_bytes = rng.choice([0, 1, 2, 4], size=count)
+    elif sizes == "blocks":
+        size_bytes = 4096 * rng.integers(0, 64, size=count)
+    else:
+        size_bytes = np.zeros(count, dtype=np.int64)
+    io_qps = np.array(qp_ids)[rng.integers(0, num_qps, size=count)]
+
+    # A second node's IOs, interleaved in dataset order.
+    others = int(rng.integers(0, 40))
+    own = np.ones(count + others, dtype=bool)
+    own[rng.choice(count + others, size=others, replace=False)] = False
+    rows = count + others
+    timestamp = np.empty(rows)
+    timestamp[own] = timestamps
+    timestamp[~own] = rng.uniform(0.0, span, size=others)
+    size_column = np.empty(rows, dtype=np.int64)
+    size_column[own] = size_bytes
+    size_column[~own] = 4096
+    qp_column = np.empty(rows, dtype=np.int64)
+    qp_column[own] = io_qps
+    qp_column[~own] = 1000 + rng.integers(0, 8, size=others)
+    node_column = np.where(own, node_id, node_id + 1)
+
+    columns = {name: np.zeros(rows) for name in TraceDataset.INT_FIELDS}
+    columns.update(
+        {name: np.zeros(rows) for name in TraceDataset.FLOAT_FIELDS}
+    )
+    columns.update(
+        timestamp=timestamp,
+        size_bytes=size_column,
+        qp_id=qp_column,
+        compute_node_id=node_column,
+    )
+    traces = TraceDataset(**columns)
+    return traces, node, RebindingConfig(
+        period_seconds=period, trigger_ratio=trigger
+    )

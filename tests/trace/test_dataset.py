@@ -132,6 +132,63 @@ class TestTraceDataset:
         traces = trace_dataset()
         assert len(traces.for_vd(1)) == 3
 
+
+def shuffled_traces(seed: int = 3, rows: int = 500) -> TraceDataset:
+    """Keys interleaved in dataset order, so groups are not contiguous."""
+    rng = np.random.default_rng(seed)
+    columns = {
+        name: rng.integers(0, 1 << 20, size=rows)
+        for name in TraceDataset.INT_FIELDS
+    }
+    columns.update(
+        {name: rng.random(rows) for name in TraceDataset.FLOAT_FIELDS}
+    )
+    columns["vd_id"] = rng.integers(0, 17, size=rows)
+    columns["compute_node_id"] = rng.integers(0, 5, size=rows)
+    return TraceDataset(sampling_rate=0.25, **columns)
+
+
+def assert_same_rows(left: TraceDataset, right: TraceDataset) -> None:
+    assert len(left) == len(right)
+    assert left.sampling_rate == right.sampling_rate
+    for name, column in left.columns().items():
+        other = getattr(right, name)
+        assert column.dtype == other.dtype
+        assert np.array_equal(column, other)
+
+
+class TestKeyedSlices:
+    @pytest.mark.parametrize("vd_id", [*range(17), -1, 17, 10**9])
+    def test_for_vd_equals_where(self, vd_id):
+        traces = shuffled_traces()
+        assert_same_rows(
+            traces.for_vd(vd_id), traces.where(traces.vd_id == vd_id)
+        )
+
+    @pytest.mark.parametrize("node_id", [*range(5), -1, 5])
+    def test_for_node_equals_where(self, node_id):
+        traces = shuffled_traces()
+        assert_same_rows(
+            traces.for_node(node_id),
+            traces.where(traces.compute_node_id == node_id),
+        )
+
+    def test_empty_dataset(self):
+        empty = shuffled_traces(rows=0)
+        assert len(empty.for_vd(0)) == 0
+        assert len(empty.for_node(0)) == 0
+
+    def test_index_is_not_pickled(self):
+        import pickle
+
+        traces = shuffled_traces()
+        before = pickle.dumps(traces)
+        traces.for_vd(3)
+        traces.for_node(2)
+        assert pickle.dumps(traces) == before
+        restored = pickle.loads(before)
+        assert_same_rows(restored.for_vd(3), traces.for_vd(3))
+
     def test_estimated_total(self):
         traces = trace_dataset()
         assert traces.estimated_total_ios() == pytest.approx(12.0)
