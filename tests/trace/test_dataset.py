@@ -132,6 +132,23 @@ class TestTraceDataset:
         traces = trace_dataset()
         assert len(traces.for_vd(1)) == 3
 
+    def test_estimated_total(self):
+        traces = trace_dataset()
+        assert traces.estimated_total_ios() == pytest.approx(12.0)
+
+    def test_sampling_rate_validated(self):
+        with pytest.raises(DatasetError):
+            TraceDataset(sampling_rate=0.0, **trace_dataset().columns())
+
+    def test_concat_keeps_rate(self):
+        traces = trace_dataset()
+        both = traces.concat(traces)
+        assert both.sampling_rate == 0.5
+        assert len(both) == 12
+
+    def test_record_has_op_enum(self):
+        record = trace_dataset().record(1)
+        assert record.op is OpKind.WRITE
 
 def shuffled_traces(seed: int = 3, rows: int = 500) -> TraceDataset:
     """Keys interleaved in dataset order, so groups are not contiguous."""
@@ -188,24 +205,6 @@ class TestKeyedSlices:
         assert pickle.dumps(traces) == before
         restored = pickle.loads(before)
         assert_same_rows(restored.for_vd(3), traces.for_vd(3))
-
-    def test_estimated_total(self):
-        traces = trace_dataset()
-        assert traces.estimated_total_ios() == pytest.approx(12.0)
-
-    def test_sampling_rate_validated(self):
-        with pytest.raises(DatasetError):
-            TraceDataset(sampling_rate=0.0, **trace_dataset().columns())
-
-    def test_concat_keeps_rate(self):
-        traces = trace_dataset()
-        both = traces.concat(traces)
-        assert both.sampling_rate == 0.5
-        assert len(both) == 12
-
-    def test_record_has_op_enum(self):
-        record = trace_dataset().record(1)
-        assert record.op is OpKind.WRITE
 
 
 class TestSpecDataset:
