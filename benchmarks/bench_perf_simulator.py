@@ -1,10 +1,10 @@
 """Perf benchmark: vectorized pass 1 vs the scalar reference (§ simulator).
 
-Times :meth:`EBSSimulator.run_pass1` with ``fast=False`` (the audited
-per-VD/per-QP reference loops) against ``fast=True`` (the array path) on
-a fleet-scale workload, verifies the outputs are **bit-identical** (load
-grids, metric-table columns, and column dtypes), and records the numbers
-in ``BENCH_simulator.json``.
+Times :meth:`EBSSimulator.run_pass1` (the array path) against the same
+call on the scalar per-VD/per-QP reference oracle
+(``tests/oracles/pass1.py``) on a fleet-scale workload, verifies the
+outputs are **bit-identical** (load grids, metric-table columns, and
+column dtypes), and records the numbers in ``BENCH_simulator.json``.
 
 Run directly::
 
@@ -18,6 +18,8 @@ or as a pytest smoke check (tiny scale, parity only)::
 from __future__ import annotations
 
 import argparse
+import sys
+from pathlib import Path
 
 import numpy as np
 
@@ -27,6 +29,7 @@ from repro.obs.runtime import (
     set_telemetry,
 )
 from repro.obs.spans import Tracer, stage_summary
+from repro.util.rng import RngFactory
 
 try:
     from benchmarks.perf_common import (
@@ -44,6 +47,10 @@ except ImportError:  # executed as a script from inside benchmarks/
         merge_results,
         tables_identical,
     )
+    # The reference oracle lives in the test tree at the repository root.
+    sys.path.insert(0, str(Path(__file__).resolve().parent.parent))
+
+from tests.oracles.pass1 import ReferencePass1Simulator  # noqa: E402
 
 
 def run_pass1_benchmark(
@@ -64,15 +71,16 @@ def run_pass1_benchmark(
         fleet, sim, traffic, qp_to_wt, seg_to_bs = build_simulation(
             scale, seed
         )
+        reference = ReferencePass1Simulator(fleet, sim.config, RngFactory(seed))
 
     with tracer.span("bench.pass1.reference", scale=scale_name):
         ref_seconds, ref = best_of(
-            lambda: sim.run_pass1(traffic, qp_to_wt, seg_to_bs, fast=False),
+            lambda: reference.run_pass1(traffic, qp_to_wt, seg_to_bs),
             max(1, repeats - 1),
         )
     with tracer.span("bench.pass1.fast", scale=scale_name):
         fast_seconds, fast = best_of(
-            lambda: sim.run_pass1(traffic, qp_to_wt, seg_to_bs, fast=True),
+            lambda: sim.run_pass1(traffic, qp_to_wt, seg_to_bs),
             repeats,
         )
 
@@ -83,9 +91,7 @@ def run_pass1_benchmark(
     try:
         with tracer.span("bench.pass1.fast_telemetry", scale=scale_name):
             enabled_seconds, _ = best_of(
-                lambda: sim.run_pass1(
-                    traffic, qp_to_wt, seg_to_bs, fast=True
-                ),
+                lambda: sim.run_pass1(traffic, qp_to_wt, seg_to_bs),
                 repeats,
             )
     finally:

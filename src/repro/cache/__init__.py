@@ -23,7 +23,6 @@ from repro.cache.fastreplay import (
     lru_hit_count,
     prepare_pages,
     replay_many,
-    replay_trace_fast,
 )
 from repro.cache.fifo import FifoCache
 from repro.cache.frozen import FrozenCache
@@ -73,5 +72,4 @@ __all__ = [
     "lru_hit_count",
     "prepare_pages",
     "replay_many",
-    "replay_trace_fast",
 ]

@@ -538,28 +538,6 @@ def _record_replay(cache: Cache, pages: int, fast: bool) -> None:
         _counter(telemetry, "cache.replay.fallback_scalar", policy).inc()
 
 
-def replay_trace_fast(cache: Cache, traces: TraceDataset) -> float:
-    """Fast-path equivalent of :func:`repro.cache.simulate.replay_trace`.
-
-    Returns the hit ratio and updates ``cache.stats`` with the exact same
-    hit/miss totals the scalar path would produce.  Falls back to the
-    scalar path for cache types without a fast implementation.
-    """
-    if len(traces) == 0:
-        return 0.0
-    pages = pages_in_time_order(traces)
-    hits = replay_pages_fast(cache, pages)
-    if hits is None:
-        from repro.cache.simulate import replay_trace
-
-        _record_replay(cache, int(pages.size), fast=False)
-        return replay_trace(cache, traces)
-    _record_replay(cache, int(pages.size), fast=True)
-    cache.stats.hits += int(hits)
-    cache.stats.misses += int(pages.size - hits)
-    return cache.stats.hit_ratio
-
-
 def replay_many(
     caches: "Iterable[tuple[str, Cache]] | Dict[str, Cache]",
     traces: TraceDataset,
@@ -569,8 +547,9 @@ def replay_many(
 
     The page extraction / time sort / compression / previous-occurrence
     work is done once and reused by every policy; each cache's stats are
-    updated exactly as :func:`replay_trace_fast` would.  Returns the hit
-    ratio per cache name.  Pass a :class:`PreparedPages` built from the
+    updated exactly as :func:`repro.cache.simulate.replay_trace` would
+    (which also serves cache types without an array kernel).  Returns the
+    hit ratio per cache name.  Pass a :class:`PreparedPages` built from the
     same trace to also share the preparation *across* calls (e.g. one VD
     replayed at several capacities).
     """

@@ -10,15 +10,12 @@ the state the inter-BS load balancer (§6) mutates, kept mutable here
 with conservation checks: a migration moves exactly one copy, never
 duplicates or drops one, and never co-locates two copies of a segment.
 
-The legacy single-mapping accessors (``block_server_of``,
-``segments_of``, ``placement_snapshot``) remain as deprecated shims;
-in-repo callers use the placement-map API (``primary_of``,
-``replicas_of``, ``primaries_on``, ``primary_array``).
+Callers use the placement-map API (``primary_of``, ``replicas_of``,
+``primaries_on``, ``primary_array``).
 """
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Set, Tuple
 
@@ -134,39 +131,6 @@ class StorageCluster:
     def _check_bs(self, bs_id: int) -> None:
         if not 0 <= bs_id < self.num_block_servers:
             raise SimulationError(f"unknown BlockServer {bs_id}")
-
-    # -- deprecated single-mapping accessors ----------------------------------
-
-    def block_server_of(self, segment_id: int) -> int:
-        """Deprecated: use :meth:`primary_of`."""
-        warnings.warn(
-            "StorageCluster.block_server_of is deprecated; use "
-            "primary_of(segment_id) (placement-map API)",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return self.primary_of(segment_id)
-
-    def segments_of(self, bs_id: int) -> Set[int]:
-        """Deprecated: use :meth:`primaries_on` (or :meth:`resident_on`)."""
-        warnings.warn(
-            "StorageCluster.segments_of is deprecated; use "
-            "primaries_on(bs_id) for primary copies or resident_on(bs_id) "
-            "for every copy (placement-map API)",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return self.primaries_on(bs_id)
-
-    def placement_snapshot(self) -> Dict[int, int]:
-        """Deprecated: use :meth:`primary_array` (or ``placement.table``)."""
-        warnings.warn(
-            "StorageCluster.placement_snapshot is deprecated; use "
-            "primary_array() or placement.table_array() (placement-map API)",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return self._placement.primary_mapping()
 
     # -- service state --------------------------------------------------------
 

@@ -71,7 +71,6 @@ class Study:
         chunk_epochs: "Optional[int]" = None,
         shard_dir: "Optional[str]" = None,
         max_rss_mb: "Optional[int]" = None,
-        series_format: str = "raw",
         series_dtype: str = "float64",
     ):
         self.config = config if config is not None else StudyConfig()
@@ -88,11 +87,9 @@ class Study:
         self.chunk_epochs = chunk_epochs
         self.shard_dir = shard_dir
         self.max_rss_mb = max_rss_mb
-        #: Streamed-build shard-store options: ``"raw"`` (zero-copy mmap
-        #: reads; the default) or ``"npz"``, and the on-disk series dtype
-        #: (``"float32"`` is the digest-gated opt-in; raw-only).  Results
-        #: are digest-identical across formats at float64.
-        self.series_format = series_format
+        #: Streamed-build shard-store series dtype (``"float32"`` is the
+        #: digest-gated opt-in; at ``"float64"`` results are
+        #: digest-identical to a monolithic run).
         self.series_dtype = series_dtype
         self._engines: List[object] = []
 
@@ -198,7 +195,6 @@ class Study:
                         chunk_epochs=self.chunk_epochs,
                         shard_dir=dc_dir,
                         max_rss_mb=self.max_rss_mb,
-                        series_format=self.series_format,
                         series_dtype=self.series_dtype,
                     )
                     self._engines.append(engine)

@@ -11,7 +11,7 @@ Module map::
 
     plan      StreamPlan geometry (pure arithmetic, property-tested)
     arena     reusable scratch buffers for kernels and shard reloads
-    shards    on-disk ShardStore (npz or raw/mmap) + StreamedTraffic view
+    shards    on-disk raw/mmap ShardStore + StreamedTraffic view
     state     carry-over save/restore drivers (buckets, caches, faults)
     merge     ShardPart tree-merge with the canonical row order
     digest    result / telemetry-snapshot digests (the parity yardstick)
@@ -25,7 +25,6 @@ from repro.engine.merge import ShardPart, merge_shard_parts, tree_reduce
 from repro.engine.plan import EPOCH_SECONDS, StreamPlan, plan_for
 from repro.engine.shards import (
     SERIES_DTYPES,
-    SERIES_FORMATS,
     ShardStore,
     StreamedTraffic,
     purge_store,
@@ -40,7 +39,6 @@ __all__ = [
     "Arena",
     "EPOCH_SECONDS",
     "SERIES_DTYPES",
-    "SERIES_FORMATS",
     "ShardPart",
     "ShardStore",
     "StreamPlan",

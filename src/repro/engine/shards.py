@@ -2,30 +2,22 @@
 
 Layout of one store directory::
 
-    manifest.json                 # schema, plan geometry, series format
-    series_s0003_b0001.npz        # npz format: 5 named (batch_vds, shard_len)
-    series_s0003_b0001.npy        # raw format: one (5, batch_vds, shard_len)
+    manifest.json                 # schema, plan geometry, series dtype
+    series_s0003_b0001.npy        # one (5, batch_vds, shard_len) block
     static_b0001.pkl              # per-VD weights / LBA model / sizes
     weights.npz                   # stacked per-entity weight vectors
 
-Two series formats coexist (``manifest.json`` records which one a store
-uses, so readers autodetect it):
+Series are stored raw: one plain ``.npy`` per (shard, batch) holding a
+single ``(5, batch_vds, shard_len)`` block.  Readers open it with
+``np.load(..., mmap_mode="r")``: the kernel pages bytes in lazily and
+pool workers share the page cache instead of each materializing their
+own copy.  At float64 a store round-trips bitwise, so streamed run
+digests equal the monolithic run's.
 
-- ``"npz"`` — the original format: five named float64 arrays per
-  (shard, batch), zip-framed by ``np.savez``.  Robust and compact-ish,
-  but every read pays a full deserialize + copy.
-- ``"raw"`` — one plain ``.npy`` per (shard, batch) holding a single
-  ``(5, batch_vds, shard_len)`` block.  Readers open it with
-  ``np.load(..., mmap_mode="r")``: the kernel pages bytes in lazily and
-  pool workers share the page cache instead of each materializing their
-  own copy.  At float64 a raw store round-trips bitwise, so run digests
-  are identical to the npz path's.
-
-The raw format optionally stores series as float32 (``series_dtype``),
-halving disk and resident bytes.  The cast is lossy: results are still
-fully deterministic, but digests differ from float64 runs — callers opt
-in explicitly and re-pin their golden digests (see
-docs/architecture.md).
+Series may be stored as float32 (``series_dtype``), halving disk and
+resident bytes.  The cast is lossy: results are still fully
+deterministic, but digests differ from float64 runs — callers opt in
+explicitly and re-pin their golden digests (see docs/architecture.md).
 
 The per-VD static payload (weight vectors, the :class:`HotspotLbaModel`
 with its draw-time state, mean IO sizes) is pickled once, at the same
@@ -47,12 +39,12 @@ from repro.engine.plan import StreamPlan
 from repro.util.errors import ConfigError
 from repro.workload.generator import VdTraffic
 
-#: Version 2 added ``series_format`` / ``series_dtype``; version-1 stores
-#: (always npz/float64) remain readable.
+#: Version 2 added ``series_format`` / ``series_dtype``.  Older stores
+#: (version 1, npz series) must be rebuilt.
 SHARD_SCHEMA_VERSION = 2
-_READABLE_SCHEMA_VERSIONS = (1, 2)
 
-SERIES_FORMATS = ("npz", "raw")
+#: The one series format, recorded in manifests and result digest files.
+SERIES_FORMAT = "raw"
 SERIES_DTYPES = ("float64", "float32")
 
 _SERIES_FIELDS = (
@@ -66,24 +58,6 @@ _STATIC_FIELDS = (
 )
 
 
-def _check_series_options(series_format: str, series_dtype: str) -> None:
-    if series_format not in SERIES_FORMATS:
-        raise ConfigError(
-            f"unknown series format {series_format!r}; "
-            f"choose from {SERIES_FORMATS}"
-        )
-    if series_dtype not in SERIES_DTYPES:
-        raise ConfigError(
-            f"unknown series dtype {series_dtype!r}; "
-            f"choose from {SERIES_DTYPES}"
-        )
-    if series_dtype == "float32" and series_format != "raw":
-        raise ConfigError(
-            "float32 series storage requires the raw series format "
-            "(npz stores are float64-only)"
-        )
-
-
 class ShardStore:
     """Columnar spill/reload of per-VD traffic, cut by (shard, batch)."""
 
@@ -91,13 +65,15 @@ class ShardStore:
         self,
         directory: "str | Path",
         plan: StreamPlan,
-        series_format: str = "npz",
         series_dtype: str = "float64",
     ):
-        _check_series_options(series_format, series_dtype)
+        if series_dtype not in SERIES_DTYPES:
+            raise ConfigError(
+                f"unknown series dtype {series_dtype!r}; "
+                f"choose from {SERIES_DTYPES}"
+            )
         self.directory = Path(directory)
         self.plan = plan
-        self.series_format = series_format
         self.series_dtype = series_dtype
 
     @property
@@ -107,8 +83,7 @@ class ShardStore:
     # -- paths ---------------------------------------------------------------
 
     def _series_path(self, shard: int, batch: int) -> Path:
-        suffix = "npy" if self.series_format == "raw" else "npz"
-        return self.directory / f"series_s{shard:04d}_b{batch:04d}.{suffix}"
+        return self.directory / f"series_s{shard:04d}_b{batch:04d}.npy"
 
     def _static_path(self, batch: int) -> Path:
         return self.directory / f"static_b{batch:04d}.pkl"
@@ -133,25 +108,15 @@ class ShardStore:
             )
         for shard in range(self.plan.num_shards):
             t0, t1 = self.plan.shard_bounds(shard)
-            if self.series_format == "raw":
-                block = np.empty(
-                    (len(_SERIES_FIELDS), len(traffic), t1 - t0),
-                    dtype=self._dtype,
-                )
-                for fi, field in enumerate(_SERIES_FIELDS):
-                    for vi, tr in enumerate(traffic):
-                        block[fi, vi] = getattr(tr, field)[t0:t1]
-                with open(self._series_path(shard, batch), "wb") as fh:
-                    np.save(fh, block)
-            else:
-                arrays = {
-                    field: np.stack(
-                        [getattr(tr, field)[t0:t1] for tr in traffic]
-                    )
-                    for field in _SERIES_FIELDS
-                }
-                with open(self._series_path(shard, batch), "wb") as fh:
-                    np.savez(fh, **arrays)
+            block = np.empty(
+                (len(_SERIES_FIELDS), len(traffic), t1 - t0),
+                dtype=self._dtype,
+            )
+            for fi, field in enumerate(_SERIES_FIELDS):
+                for vi, tr in enumerate(traffic):
+                    block[fi, vi] = getattr(tr, field)[t0:t1]
+            with open(self._series_path(shard, batch), "wb") as fh:
+                np.save(fh, block)
         static = [
             {field: getattr(tr, field) for field in _STATIC_FIELDS}
             for tr in traffic
@@ -172,7 +137,7 @@ class ShardStore:
         plan = self.plan
         self.manifest_path.write_text(json.dumps({
             "schema_version": SHARD_SCHEMA_VERSION,
-            "series_format": self.series_format,
+            "series_format": SERIES_FORMAT,
             "series_dtype": self.series_dtype,
             "duration_seconds": plan.duration_seconds,
             "epoch_seconds": plan.epoch_seconds,
@@ -189,9 +154,8 @@ class ShardStore:
     def open(cls, directory: "str | Path") -> "ShardStore":
         """Open a finalized store from its manifest (e.g. in a worker).
 
-        The series format/dtype come from the manifest, so readers work
-        against either format without being told which; version-1
-        manifests (pre-raw) imply npz/float64.
+        The series dtype comes from the manifest.  A store of another
+        schema or series format (the retired npz stores) is refused.
         """
         directory = Path(directory)
         try:
@@ -199,10 +163,12 @@ class ShardStore:
         except FileNotFoundError:
             raise ConfigError(f"no shard store at {directory}")
         version = manifest.get("schema_version")
-        if version not in _READABLE_SCHEMA_VERSIONS:
+        series_format = manifest.get("series_format")
+        if version != SHARD_SCHEMA_VERSION or series_format != SERIES_FORMAT:
             raise ConfigError(
-                f"shard store schema {version} not in supported "
-                f"{_READABLE_SCHEMA_VERSIONS}"
+                f"shard store at {directory} (schema {version}, series "
+                f"format {series_format!r}) is not a schema-"
+                f"{SHARD_SCHEMA_VERSION} {SERIES_FORMAT!r} store; rebuild it"
             )
         plan = StreamPlan(
             duration_seconds=manifest["duration_seconds"],
@@ -214,7 +180,6 @@ class ShardStore:
         return cls(
             directory,
             plan,
-            series_format=manifest.get("series_format", "npz"),
             series_dtype=manifest.get("series_dtype", "float64"),
         )
 
@@ -238,41 +203,30 @@ class ShardStore:
         time slice of the monolithic stacked series (after the storage
         dtype's cast, for float32 stores).
 
-        Raw single-batch stores return zero-copy memmap views; raw
-        multi-batch stores copy batch rows into one destination block
-        per field (arena-reused when ``arena`` is given).  npz stores
-        keep the original load-and-vstack path.
+        Single-batch stores return zero-copy memmap views; multi-batch
+        stores copy batch rows into one destination block per field
+        (arena-reused when ``arena`` is given).
         """
-        if self.series_format == "raw":
-            if self.plan.num_batches == 1:
-                mm = self._raw_block(shard, 0)
-                return mm[0], mm[1], mm[2], mm[3]
-            t0, t1 = self.plan.shard_bounds(shard)
-            shape = (self.plan.num_vds, t1 - t0)
-            if arena is not None:
-                out = tuple(
-                    arena.take(f"shards.series.{field}", shape, self._dtype)
-                    for field in _SERIES_FIELDS[:4]
-                )
-            else:
-                out = tuple(
-                    np.empty(shape, dtype=self._dtype)
-                    for _ in _SERIES_FIELDS[:4]
-                )
-            for batch in range(self.plan.num_batches):
-                v0, v1 = self.plan.batch_bounds(batch)
-                mm = self._raw_block(shard, batch)
-                for fi in range(4):
-                    np.copyto(out[fi][v0:v1], mm[fi])
-            return out  # type: ignore[return-value]
-        parts = {field: [] for field in _SERIES_FIELDS[:4]}
+        if self.plan.num_batches == 1:
+            mm = self._raw_block(shard, 0)
+            return mm[0], mm[1], mm[2], mm[3]
+        t0, t1 = self.plan.shard_bounds(shard)
+        shape = (self.plan.num_vds, t1 - t0)
+        if arena is not None:
+            out = tuple(
+                arena.take(f"shards.series.{field}", shape, self._dtype)
+                for field in _SERIES_FIELDS[:4]
+            )
+        else:
+            out = tuple(
+                np.empty(shape, dtype=self._dtype)
+                for _ in _SERIES_FIELDS[:4]
+            )
         for batch in range(self.plan.num_batches):
-            with np.load(self._series_path(shard, batch)) as z:
-                for field in parts:
-                    parts[field].append(z[field])
-        out = tuple(
-            np.vstack(parts[field]) for field in _SERIES_FIELDS[:4]
-        )
+            v0, v1 = self.plan.batch_bounds(batch)
+            mm = self._raw_block(shard, batch)
+            for fi in range(4):
+                np.copyto(out[fi][v0:v1], mm[fi])
         return out  # type: ignore[return-value]
 
     def traffic_batch(self, batch: int) -> List[VdTraffic]:
@@ -285,39 +239,22 @@ class ShardStore:
         """
         with open(self._static_path(batch), "rb") as fh:
             static = pickle.load(fh)
-        if self.series_format == "raw":
-            v0, v1 = self.plan.batch_bounds(batch)
-            block = np.empty(
-                (
-                    len(_SERIES_FIELDS),
-                    v1 - v0,
-                    self.plan.duration_seconds,
-                ),
-                dtype=self._dtype,
-            )
-            for shard in range(self.plan.num_shards):
-                t0, t1 = self.plan.shard_bounds(shard)
-                np.copyto(block[:, :, t0:t1], self._raw_block(shard, batch))
-            series = {
-                field: block[fi] for fi, field in enumerate(_SERIES_FIELDS)
-            }
-        else:
-            slices: Dict[str, List[np.ndarray]] = {
-                field: [] for field in _SERIES_FIELDS
-            }
-            for shard in range(self.plan.num_shards):
-                with np.load(self._series_path(shard, batch)) as z:
-                    for field in slices:
-                        slices[field].append(z[field])
-            series = {
-                field: np.concatenate(slices[field], axis=1)
-                for field in slices
-            }
+        v0, v1 = self.plan.batch_bounds(batch)
+        block = np.empty(
+            (len(_SERIES_FIELDS), v1 - v0, self.plan.duration_seconds),
+            dtype=self._dtype,
+        )
+        for shard in range(self.plan.num_shards):
+            t0, t1 = self.plan.shard_bounds(shard)
+            np.copyto(block[:, :, t0:t1], self._raw_block(shard, batch))
         out: List[VdTraffic] = []
         for row, payload in enumerate(static):
             out.append(VdTraffic(
                 **payload,
-                **{field: series[field][row] for field in _SERIES_FIELDS},
+                **{
+                    field: block[fi, row]
+                    for fi, field in enumerate(_SERIES_FIELDS)
+                },
             ))
         return out
 
@@ -385,8 +322,8 @@ def purge_store(directory: "str | Path") -> None:
     if not directory.is_dir():
         return
     for path in directory.iterdir():
-        # .npy covers the raw series format (regression: raw stores used
-        # to leave their series blocks behind and the rmdir failed).
+        # .npy covers the series blocks (regression: they were once left
+        # behind and the rmdir failed); .npz is the weights file.
         if path.name == "manifest.json" or path.suffix in (
             ".npz", ".npy", ".pkl"
         ):

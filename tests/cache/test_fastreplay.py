@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.cache import FifoCache, FrozenCache, LruCache
+from repro.cache import FifoCache, FrozenCache, LruCache, hottest_block
 from repro.cache.fastreplay import (
     PAGE_BYTES,
     _fifo_hits_fixpoint,
@@ -24,7 +24,6 @@ from repro.cache.fastreplay import (
     prepare_pages,
     replay_many,
     replay_pages_fast,
-    replay_trace_fast,
 )
 from repro.cache.simulate import (
     replay_trace,
@@ -245,7 +244,7 @@ def test_property_fast_equals_scalar(pages, capacity):
 
 
 class TestReplayFast:
-    def test_replay_trace_fast_matches_reference(self):
+    def test_replay_many_single_cache_matches_reference(self):
         rng = np.random.default_rng(6)
         pages = rng.integers(0, 50, size=700)
         traces = traces_from_pages(pages, timestamps=rng.random(700) * 60)
@@ -253,7 +252,7 @@ class TestReplayFast:
                      lambda: FrozenCache(16, start_page=8)):
             slow_cache, fast_cache = make(), make()
             slow = replay_trace(slow_cache, traces)
-            fast = replay_trace_fast(fast_cache, traces)
+            fast = replay_many({"one": fast_cache}, traces)["one"]
             assert fast == slow
             assert fast_cache.stats.hits == slow_cache.stats.hits
             assert fast_cache.stats.misses == slow_cache.stats.misses
@@ -263,13 +262,16 @@ class TestReplayFast:
             pass
 
         assert replay_pages_fast(TaggedLru(4), np.array([1, 2, 1])) is None
-        # replay_trace_fast must still produce the right answer via the
-        # scalar fallback.
+        # replay_many must still produce the right answer via the scalar
+        # fallback, next to a cache that takes the array kernel.
         traces = traces_from_pages([1, 2, 1, 3, 1])
         cache = TaggedLru(2)
-        ratio = replay_trace_fast(cache, traces)
-        ref = replay_trace(LruCache(2), traces)
-        assert ratio == ref
+        ratios = replay_many({"tagged": cache, "lru": LruCache(2)}, traces)
+        ref_cache = LruCache(2)
+        ref = replay_trace(ref_cache, traces)
+        assert ratios == {"tagged": ref, "lru": ref}
+        assert cache.stats.hits == ref_cache.stats.hits
+        assert cache.stats.misses == ref_cache.stats.misses
 
     def test_replay_many_shares_preparation(self):
         rng = np.random.default_rng(8)
@@ -297,8 +299,21 @@ class TestReplayFast:
 class TestSimulateFastSlowParity:
     def test_simulate_vd_cache_fast_equals_slow(self):
         traces = traces_with_hotspot(n_hot=80, n_cold=60)
-        fast = simulate_vd_cache(traces, 0, MiB, 100 * MiB, fast=True)
-        slow = simulate_vd_cache(traces, 0, MiB, 100 * MiB, fast=False)
+        fast = simulate_vd_cache(traces, 0, MiB, 100 * MiB)
+        # The same three caches, each fed IO by IO through Cache.access.
+        vd_traces = traces.for_vd(0)
+        block = hottest_block(traces, 0, MiB, 100 * MiB)
+        capacity_pages = MiB // PAGE_BYTES
+        slow = {
+            "fifo": replay_trace(FifoCache(capacity_pages), vd_traces),
+            "lru": replay_trace(LruCache(capacity_pages), vd_traces),
+            "frozen": replay_trace(
+                FrozenCache.for_byte_range(
+                    block.start_byte, block.block_bytes, PAGE_BYTES
+                ),
+                vd_traces,
+            ),
+        }
         assert fast == slow
 
     def test_simulate_vd_caches_matches_single_size_calls(self):

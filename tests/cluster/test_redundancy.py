@@ -366,16 +366,8 @@ class TestStorageClusterRedundancy:
 
 
 class TestDeprecatedShims:
-    def test_shims_warn_but_agree_with_the_new_api(self, small_fleet):
-        storage = StorageCluster(small_fleet)
-        seg = small_fleet.segments[0].segment_id
-        with pytest.warns(DeprecationWarning, match="primary_of"):
-            assert storage.block_server_of(seg) == storage.primary_of(seg)
-        with pytest.warns(DeprecationWarning, match="primaries_on"):
-            assert storage.segments_of(0) == storage.primaries_on(0)
-        with pytest.warns(DeprecationWarning, match="primary_array"):
-            snapshot = storage.placement_snapshot()
-        assert snapshot == storage.placement.primary_mapping()
+    """The placement API that replaced the removed single-mapping
+    accessors must not warn."""
 
     def test_new_api_does_not_warn(self, small_fleet):
         storage = StorageCluster(small_fleet)

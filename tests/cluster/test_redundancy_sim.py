@@ -4,7 +4,7 @@ Pins the three load-bearing guarantees of the redundancy redesign:
 
 - **r=1 golden parity** — ``redundancy="r=1"`` with the primary policy
   is byte-for-byte the no-redundancy simulator (same golden digest), on
-  both pass-1 paths;
+  both the vectorized pass 1 and the scalar reference oracle;
 - **differential** — for every read policy and for EC, the vectorized
   pass-1 is bit-identical to the scalar reference, with and without a
   fault plan;
@@ -41,21 +41,22 @@ from tests.cluster.test_simulator_fastpath import (
     _result_digest,
     _tables_equal,
 )
+from tests.oracles.pass1 import ReferencePass1Simulator
 
 #: Non-trivial schemes that fit the 3-BS golden fleet.
 SCHEMES = ["r=2", "r=3", "ec=2+1"]
 
 
-def _run(redundancy, read_policy="primary", fast=True, plan=None, seed=11):
+def _run(
+    redundancy, read_policy="primary", reference=False, plan=None, seed=11
+):
     rngs = RngFactory(seed)
     fleet = build_fleet(GOLDEN_FLEET, rngs)
     config = replace(
-        GOLDEN_SIM,
-        use_fast_path=fast,
-        redundancy=redundancy,
-        read_policy=read_policy,
+        GOLDEN_SIM, redundancy=redundancy, read_policy=read_policy
     )
-    return EBSSimulator(fleet, config, rngs, fault_plan=plan).run()
+    simulator = ReferencePass1Simulator if reference else EBSSimulator
+    return simulator(fleet, config, rngs, fault_plan=plan).run()
 
 
 class TestGoldenParity:
@@ -65,7 +66,7 @@ class TestGoldenParity:
         assert _result_digest(_run("r=1")) == GOLDEN_DIGEST
 
     def test_r1_primary_reference_path_matches_too(self):
-        assert _result_digest(_run("r=1", fast=False)) == GOLDEN_DIGEST
+        assert _result_digest(_run("r=1", reference=True)) == GOLDEN_DIGEST
 
     def test_trivial_scheme_is_detected(self):
         config = replace(GOLDEN_SIM, redundancy="r=1")
@@ -97,16 +98,20 @@ class TestDifferential:
         return small_fleet, config, traffic
 
     def _pass1_pair(self, fleet, config, traffic, plan=None):
-        rngs = RngFactory(13)
-        simulator = EBSSimulator(fleet, config, rngs, fault_plan=plan)
+        reference = ReferencePass1Simulator(
+            fleet, config, RngFactory(13), fault_plan=plan
+        )
+        simulator = EBSSimulator(
+            fleet, config, RngFactory(13), fault_plan=plan
+        )
         storage = StorageCluster(
             fleet, redundancy=config.redundancy_config()
         )
         qp_to_wt, seg_to_bs = simulator.bindings(
             HypervisorSet(fleet), storage
         )
-        ref = simulator.run_pass1(traffic, qp_to_wt, seg_to_bs, fast=False)
-        fast = simulator.run_pass1(traffic, qp_to_wt, seg_to_bs, fast=True)
+        ref = reference.run_pass1(traffic, qp_to_wt, seg_to_bs)
+        fast = simulator.run_pass1(traffic, qp_to_wt, seg_to_bs)
         return ref, fast
 
     @pytest.mark.parametrize("policy", READ_POLICY_NAMES)
@@ -152,8 +157,8 @@ class TestDifferential:
 
     @pytest.mark.parametrize("spec", SCHEMES)
     def test_full_run_digest_stable_across_paths(self, spec):
-        slow = _run(spec, read_policy="power_of_two", fast=False)
-        fast = _run(spec, read_policy="power_of_two", fast=True)
+        slow = _run(spec, read_policy="power_of_two", reference=True)
+        fast = _run(spec, read_policy="power_of_two")
         assert _result_digest(slow) == _result_digest(fast)
 
     def test_same_seed_same_digest(self):

@@ -1,9 +1,11 @@
 """Fast-path equivalence, worker stability, and regression tests.
 
 Covers the vectorized pass 1 (must be bit-identical to the scalar
-reference, dtypes included), the seed-determinism of the whole simulator
-(golden digest, stable across worker counts), and the ``_ColumnBuffer``
-empty-dtype / ``_normalized_probabilities`` regressions.
+reference in ``tests.oracles.pass1``, dtypes included), the
+seed-determinism of the whole simulator (golden digest, stable across
+worker counts and reached through the reference too), and the
+``_ColumnBuffer`` empty-dtype / ``_normalized_probabilities``
+regressions.
 """
 
 import hashlib
@@ -27,6 +29,8 @@ from repro.util.rng import RngFactory
 from repro.workload.fleet import FleetConfig, build_fleet
 from repro.workload.generator import WorkloadGenerator
 
+from tests.oracles.pass1 import ReferencePass1Simulator
+
 #: SHA-256 over every trace column, metric column, and load grid of the
 #: golden run below.  Any change to RNG stream layout, accumulation
 #: order, or output dtypes shows up here.
@@ -41,10 +45,10 @@ GOLDEN_FLEET = FleetConfig(
 GOLDEN_SIM = SimulationConfig(duration_seconds=45, trace_sampling_rate=0.2)
 
 
-def _golden_run(workers: int = 1):
+def _golden_run(workers: int = 1, simulator=EBSSimulator):
     rngs = RngFactory(11)
     fleet = build_fleet(GOLDEN_FLEET, rngs)
-    return EBSSimulator(fleet, GOLDEN_SIM, rngs).run(workers=workers)
+    return simulator(fleet, GOLDEN_SIM, rngs).run(workers=workers)
 
 
 def _result_digest(result) -> str:
@@ -78,6 +82,7 @@ class TestPass1Equivalence:
         )
         rngs = RngFactory(13)
         simulator = EBSSimulator(small_fleet, config, rngs)
+        reference = ReferencePass1Simulator(small_fleet, config, rngs)
         generator = WorkloadGenerator(
             small_fleet, config.duration_seconds, rngs,
             diurnal_amplitude=config.diurnal_amplitude,
@@ -86,34 +91,25 @@ class TestPass1Equivalence:
         qp_to_wt, seg_to_bs = simulator.bindings(
             HypervisorSet(small_fleet), StorageCluster(small_fleet)
         )
-        return simulator, traffic, qp_to_wt, seg_to_bs
+        return simulator, reference, traffic, qp_to_wt, seg_to_bs
 
     def test_fast_pass1_bit_identical(self, pass1_inputs):
-        simulator, traffic, qp_to_wt, seg_to_bs = pass1_inputs
-        ref = simulator.run_pass1(traffic, qp_to_wt, seg_to_bs, fast=False)
-        fast = simulator.run_pass1(traffic, qp_to_wt, seg_to_bs, fast=True)
+        simulator, reference, traffic, qp_to_wt, seg_to_bs = pass1_inputs
+        ref = reference.run_pass1(traffic, qp_to_wt, seg_to_bs)
+        fast = simulator.run_pass1(traffic, qp_to_wt, seg_to_bs)
         np.testing.assert_array_equal(ref[0], fast[0])  # WT load grid
         np.testing.assert_array_equal(ref[1], fast[1])  # BS load grid
         assert _tables_equal(ref[2], fast[2])           # compute metrics
         assert _tables_equal(ref[3], fast[3])           # storage metrics
 
-    def test_config_knob_selects_path(self, small_fleet):
-        config = SimulationConfig(
-            duration_seconds=30, trace_sampling_rate=1.0 / 10.0,
-            use_fast_path=False,
-        )
-        slow = EBSSimulator(small_fleet, config, RngFactory(3)).run()
-        fast = EBSSimulator(
-            small_fleet, replace(config, use_fast_path=True), RngFactory(3)
-        ).run()
-        assert _tables_equal(slow.metrics.compute, fast.metrics.compute)
-        assert _tables_equal(slow.metrics.storage, fast.metrics.storage)
-        np.testing.assert_array_equal(slow.wt_load_bps, fast.wt_load_bps)
-
 
 class TestSeedDeterminism:
     def test_golden_digest(self):
         assert _result_digest(_golden_run()) == GOLDEN_DIGEST
+
+    def test_reference_pass1_reproduces_the_golden_digest(self):
+        run = _golden_run(simulator=ReferencePass1Simulator)
+        assert _result_digest(run) == GOLDEN_DIGEST
 
     def test_workers_do_not_change_results(self):
         assert _result_digest(_golden_run(workers=2)) == GOLDEN_DIGEST

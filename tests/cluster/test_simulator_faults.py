@@ -7,7 +7,6 @@ no-fault plan must reproduce the fault-free golden digest exactly.
 """
 
 import hashlib
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -29,6 +28,7 @@ from tests.cluster.test_simulator_fastpath import (
     GOLDEN_SIM,
     _result_digest,
 )
+from tests.oracles.pass1 import ReferencePass1Simulator
 
 #: The issue's acceptance bar: at least 25 seeded plans in the harness.
 NUM_DIFFERENTIAL_PLANS = 25
@@ -42,11 +42,11 @@ def _shape() -> PlanShape:
     return PlanShape.of_fleet(_build_fleet(), GOLDEN_SIM.duration_seconds)
 
 
-def _run(plan, fast: bool, workers: int = 1, seed: int = 11):
+def _run(plan, reference: bool = False, workers: int = 1, seed: int = 11):
     rngs = RngFactory(seed)
     fleet = build_fleet(GOLDEN_FLEET, rngs)
-    config = replace(GOLDEN_SIM, use_fast_path=fast)
-    simulator = EBSSimulator(fleet, config, rngs, fault_plan=plan)
+    simulator_cls = ReferencePass1Simulator if reference else EBSSimulator
+    simulator = simulator_cls(fleet, GOLDEN_SIM, rngs, fault_plan=plan)
     return simulator.run(workers=workers)
 
 
@@ -61,12 +61,12 @@ def _plan_for(seed: int) -> FaultPlan:
 
 class TestNoFaultIdentity:
     def test_empty_plan_reproduces_golden_digest(self):
-        result = _run(FaultPlan(), fast=True)
+        result = _run(FaultPlan())
         assert result.faults is None
         assert _result_digest(result) == GOLDEN_DIGEST
 
     def test_none_plan_reproduces_golden_digest(self):
-        assert _result_digest(_run(None, fast=True)) == GOLDEN_DIGEST
+        assert _result_digest(_run(None)) == GOLDEN_DIGEST
 
     def test_out_of_horizon_plan_reproduces_traces(self):
         """Events entirely past the horizon leave the datasets untouched."""
@@ -81,7 +81,7 @@ class TestNoFaultIdentity:
                 ),
             )
         )
-        result = _run(plan, fast=True)
+        result = _run(plan)
         assert result.faults is not None  # the plan is non-empty...
         assert _result_digest(result) == GOLDEN_DIGEST  # ...but inert
 
@@ -90,15 +90,15 @@ class TestDifferentialUnderFaults:
     @pytest.mark.parametrize("seed", range(NUM_DIFFERENTIAL_PLANS))
     def test_scalar_and_fast_paths_are_bit_identical(self, seed):
         plan = _plan_for(seed)
-        slow = _run(plan, fast=False)
-        fast = _run(plan, fast=True)
+        slow = _run(plan, reference=True)
+        fast = _run(plan)
         assert _result_digest(slow) == _result_digest(fast)
 
     @pytest.mark.parametrize("seed", range(NUM_DIFFERENTIAL_PLANS))
     def test_fault_accounting_matches_across_paths(self, seed):
         plan = _plan_for(seed)
-        slow = _run(plan, fast=False)
-        fast = _run(plan, fast=True)
+        slow = _run(plan, reference=True)
+        fast = _run(plan)
         if slow.faults is None:
             assert fast.faults is None
             return
@@ -110,8 +110,8 @@ class TestWorkerParityUnderFaults:
     @pytest.mark.parametrize("seed", [0, 1, 2, 3])
     def test_workers_do_not_change_results(self, seed):
         plan = _plan_for(seed)
-        sequential = _run(plan, fast=True, workers=1)
-        fanned = _run(plan, fast=True, workers=2)
+        sequential = _run(plan, workers=1)
+        fanned = _run(plan, workers=2)
         assert _result_digest(sequential) == _result_digest(fanned)
         if sequential.faults is not None:
             assert (
@@ -120,8 +120,8 @@ class TestWorkerParityUnderFaults:
 
     def test_seed_changes_results(self):
         plan = _plan_for(0)
-        assert _result_digest(_run(plan, fast=True, seed=11)) != (
-            _result_digest(_run(plan, fast=True, seed=12))
+        assert _result_digest(_run(plan, seed=11)) != (
+            _result_digest(_run(plan, seed=12))
         )
 
 
@@ -132,7 +132,7 @@ class TestFaultEffectsAreReal:
         changed = 0
         for seed in range(6):
             plan = _plan_for(seed)
-            if _result_digest(_run(plan, fast=True)) != GOLDEN_DIGEST:
+            if _result_digest(_run(plan)) != GOLDEN_DIGEST:
                 changed += 1
         assert changed > 0
 
@@ -145,7 +145,7 @@ class TestFaultEffectsAreReal:
             ),
             policy=RedirectPolicy.REDIRECT,
         )
-        result = _run(plan, fast=True)
+        result = _run(plan)
         assert np.all(result.bs_load_bps[0] == 0.0)
         assert result.faults.accounting.redirected_ios > 0
 
@@ -161,8 +161,8 @@ class TestFaultEffectsAreReal:
                 ),
             )
         )
-        base = _run(None, fast=True)
-        degraded = _run(plan, fast=True)
+        base = _run(None)
+        degraded = _run(plan)
         total = lambda r: float(  # noqa: E731
             sum(
                 r.traces.columns()[c].sum()
@@ -183,7 +183,7 @@ class TestFaultEffectsAreReal:
                 ),
             )
         )
-        result = _run(plan, fast=True)
+        result = _run(plan)
         node = result.fleet.queue_pairs[qp].compute_node_id
         log = result.hypervisors.node(node).stall_log
         assert any(
@@ -200,7 +200,7 @@ class TestFaultEffectsAreReal:
                 ),
             )
         )
-        result = _run(plan, fast=True)
+        result = _run(plan)
         actions = [
             (event.bs_id, event.action)
             for event in result.storage.failure_log
@@ -211,7 +211,7 @@ class TestFaultEffectsAreReal:
 
 def _digest_plan_outcome(plan) -> str:
     """Digest of datasets AND fault attribution, for the golden pin."""
-    result = _run(plan, fast=True)
+    result = _run(plan)
     h = hashlib.sha256()
     h.update(_result_digest(result).encode())
     if result.faults is not None:
@@ -252,6 +252,6 @@ class TestGoldenFaultDigest:
         )
 
     def test_scalar_path_agrees(self):
-        fast = _run(self.PLAN, fast=True)
-        slow = _run(self.PLAN, fast=False)
+        fast = _run(self.PLAN)
+        slow = _run(self.PLAN, reference=True)
         assert _result_digest(fast) == _result_digest(slow)

@@ -37,18 +37,9 @@ class TestMain:
         assert code == 1
         assert "error" in capsys.readouterr().err
 
-    def test_run_rejects_output_and_json_together(self, capsys):
-        code = main(
-            ["run", "table2", "-o", "a.json", "--json", "b.json"]
-        )
-        assert code == 1
-        assert "deprecated alias" in capsys.readouterr().err
-
     def test_export_dataset_requires_one_directory(self, capsys):
         assert main(["export-dataset"]) == 1
         assert "-o/--output" in capsys.readouterr().err
-        assert main(["export-dataset", "a", "-o", "b"]) == 1
-        assert "once" in capsys.readouterr().err
 
     def test_sweep_rejects_bad_axis(self, capsys):
         code = main(["sweep", "table2", "--axis", "notafield=1"])
@@ -104,7 +95,7 @@ class TestMain:
         )
         assert args.redundancy == "r=2"
         args = build_parser().parse_args(
-            ["export-dataset", "out", "--redundancy", "ec=4+2"]
+            ["export-dataset", "-o", "out", "--redundancy", "ec=4+2"]
         )
         assert args.redundancy == "ec=4+2"
 
@@ -119,24 +110,13 @@ class TestMain:
         assert "redundancy_cov" in out
         assert "redundancy_faults" in out
 
-    def test_json_flag_parsed(self):
-        args = build_parser().parse_args(
-            ["run", "table2", "--json", "out.json"]
-        )
-        assert args.json == "out.json"
-
     def test_run_output_flag_parsed(self):
         args = build_parser().parse_args(["run", "table2", "-o", "out.json"])
         assert args.output == "out.json"
 
-    def test_export_dataset_parses(self):
-        args = build_parser().parse_args(["export-dataset", "somewhere"])
-        assert args.directory == "somewhere"
-
     def test_export_dataset_output_flag(self):
         args = build_parser().parse_args(["export-dataset", "-o", "there"])
         assert args.output == "there"
-        assert args.directory is None
 
     def test_sweep_parses(self):
         args = build_parser().parse_args(
@@ -157,11 +137,39 @@ class TestMain:
         assert args.workers == 2
 
 
+class TestDigestFile:
+    """``run --digest`` output is pinned by hash downstream: its keys,
+    their order and the series format must not drift."""
+
+    def test_keys_and_series_format(self, tmp_path):
+        import argparse
+        import json
+        from types import SimpleNamespace
+
+        from repro.cli import _write_digest
+
+        study = SimpleNamespace(
+            results=[], chunk_epochs=2, series_dtype="float64"
+        )
+        path = tmp_path / "digest.json"
+        _write_digest(
+            study,
+            argparse.Namespace(scale="small", seed=7, digest=str(path)),
+        )
+        payload = json.loads(path.read_text())
+        assert list(payload) == [
+            "scale", "seed", "chunk_epochs", "series_format",
+            "series_dtype", "per_dc", "combined",
+        ]
+        assert payload["series_format"] == "raw"
+        assert payload["series_dtype"] == "float64"
+
+
 @pytest.mark.slow
 class TestMainEndToEnd:
     def test_run_with_json_output(self, tmp_path, capsys):
         out = tmp_path / "results.json"
-        code = main(["run", "table2", "--scale", "small", "--json", str(out)])
+        code = main(["run", "table2", "--scale", "small", "-o", str(out)])
         assert code == 0
         import json
 
@@ -170,7 +178,7 @@ class TestMainEndToEnd:
         assert payload["results"][0]["experiment_id"] == "table2"
 
     def test_export_dataset_writes_files(self, tmp_path, capsys):
-        code = main(["export-dataset", str(tmp_path / "data")])
+        code = main(["export-dataset", "-o", str(tmp_path / "data")])
         assert code == 0
         written = {p.name for p in (tmp_path / "data").iterdir()}
         assert "dc0_traces.jsonl" in written

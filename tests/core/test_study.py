@@ -64,16 +64,6 @@ class TestStudyConfig:
         with pytest.raises(ConfigError):
             StudyConfig.scale("small", cache_min_tracez=50)
 
-    def test_deprecated_presets_warn_but_match_scale(self):
-        for shim, name in (
-            (StudyConfig.small, "small"),
-            (StudyConfig.medium, "medium"),
-            (StudyConfig.large, "large"),
-        ):
-            with pytest.warns(DeprecationWarning, match="deprecated"):
-                config = shim(seed=1)
-            assert config == StudyConfig.scale(name, seed=1)
-
     def test_rejects_bad_lending_rates(self):
         with pytest.raises(ConfigError):
             StudyConfig(lending_rates=(0.0,))

@@ -39,7 +39,7 @@ RAGGED_SIM = SimulationConfig(duration_seconds=50, trace_sampling_rate=0.2)
 
 def _run(
     streamed, chunk_epochs=2, workers=1, plan=None, telemetry=False,
-    cleanup=True, sim=SIM, series_format="raw", series_dtype="float64",
+    cleanup=True, sim=SIM, series_dtype="float64", vd_batch_size=5,
 ):
     """One run; ``cleanup=False`` keeps the shard store alive so the
     caller can read the lazy ``result.traffic`` view (caller must call
@@ -53,8 +53,7 @@ def _run(
         if streamed:
             engine = StreamingSimulator(
                 simulator, chunk_epochs, epoch_seconds=EPOCH,
-                vd_batch_size=5, series_format=series_format,
-                series_dtype=series_dtype,
+                vd_batch_size=vd_batch_size, series_dtype=series_dtype,
             )
             try:
                 result = engine.run(workers=workers)
@@ -157,30 +156,30 @@ class TestGeometryEdgeCases:
 
 
 class TestFormatParity:
-    """npz and raw/mmap stores are interchangeable at float64.
+    """Both raw-store read paths land on the monolithic bytes at float64.
 
-    The default streamed path (``raw``) is already pinned against the
-    monolithic digest by :class:`TestDigestParity`; here the legacy npz
-    store must land on the very same bytes across the geometry matrix,
-    and the float32 opt-in must be deterministic under its own digest.
+    :class:`TestDigestParity` streams multi-batch stores, whose shard
+    reads copy batch rows into one block.  A single-batch store hands
+    pass 1 zero-copy memmap views instead; both must match the
+    monolithic digest across the geometry matrix.  The float32 opt-in
+    must be deterministic under its own digest.
     """
 
     @pytest.mark.parametrize(
         "chunk_epochs,workers", [(1, 1), (2, 2), (5, 1)]
     )
-    def test_npz_and_raw_digests_match(
+    def test_raw_digests_match_monolithic(
         self, monolithic, chunk_epochs, workers
     ):
-        raw, _, _ = _run(
+        batched, _, _ = _run(
             True, chunk_epochs=chunk_epochs, workers=workers,
-            series_format="raw",
         )
-        npz, _, _ = _run(
+        single, _, _ = _run(
             True, chunk_epochs=chunk_epochs, workers=workers,
-            series_format="npz",
+            vd_batch_size=len(monolithic.traffic),
         )
-        assert result_digest(raw) == result_digest(npz)
-        assert result_digest(raw) == result_digest(monolithic)
+        assert result_digest(batched) == result_digest(monolithic)
+        assert result_digest(single) == result_digest(monolithic)
 
     def test_float32_is_deterministic_with_its_own_digest(self, monolithic):
         first, _, _ = _run(True, series_dtype="float32")
